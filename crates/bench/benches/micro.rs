@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the hot paths: SHA-256 hashing, rolling
-//! window hashes, chunking heuristics, the wire codec, and manager
-//! metadata operations.
+//! window hashes, delta signatures and encoding, chunking heuristics, the
+//! wire codec, and manager metadata operations.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use stdchk_chunker::delta::{delta_encode, ChunkSignature};
 use stdchk_chunker::{CbChunker, CbRollingChunker, Chunker, FsChunker};
 use stdchk_core::{Manager, PoolConfig};
 use stdchk_proto::codec::Wire;
@@ -24,6 +25,32 @@ fn bench_hashing(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Bytes(buf.len() as u64));
     g.bench_function("sha256_1mib", |b| b.iter(|| Sha256::digest(&buf)));
+    // The delta kernel a wanted chunk pays on the client: its own
+    // signature (the next version's basis), then an encode attempt against
+    // the previous version's chunk at the same position.
+    g.bench_function("chunk_signature_1mib", |b| {
+        b.iter(|| ChunkSignature::of(&buf))
+    });
+    let unrelated = ChunkSignature::of(
+        &(0..buf.len())
+            .map(|i| mix64(!(i as u64)) as u8)
+            .collect::<Vec<_>>(),
+    );
+    g.bench_function("delta_encode_unrelated_1mib", |b| {
+        b.iter(|| {
+            let d = delta_encode(&unrelated, &buf);
+            assert!(d.is_none(), "unrelated content must decline");
+            d
+        })
+    });
+    let basis = ChunkSignature::of(&buf);
+    let mut near = buf.clone();
+    for at in (0..near.len()).step_by(64 << 10) {
+        near[at + 1000] ^= 0xff;
+    }
+    g.bench_function("delta_encode_near_miss_1mib", |b| {
+        b.iter(|| delta_encode(&basis, &near).expect("a near miss must encode"))
+    });
     g.bench_function("rolling_slide_1mib", |b| {
         b.iter(|| {
             let mut rh = RollingHash::new(20);

@@ -22,6 +22,7 @@
 //! chunk-map committed).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use stdchk_chunker::delta::{delta_encode, ChunkSignature};
@@ -349,14 +350,15 @@ pub struct WriteSession {
     /// new chunk id → previous-version chunk at the same position, when a
     /// signature for it is available (delta candidate).
     chunk_basis: HashMap<ChunkId, ChunkId>,
-    /// Signatures of previous-version chunks (injected by the driver).
-    basis_sigs: HashMap<ChunkId, ChunkSignature>,
+    /// Signatures of previous-version chunks (injected by the driver,
+    /// shared with its cache).
+    basis_sigs: HashMap<ChunkId, Arc<ChunkSignature>>,
     /// Known locations of previous-version chunks (injected by the
     /// driver): a delta must be routed to a node storing its basis.
     basis_homes: HashMap<ChunkId, Vec<NodeId>>,
     /// Signatures of chunks shipped this session, harvested by the driver
     /// as delta bases for the next version.
-    out_sigs: HashMap<ChunkId, ChunkSignature>,
+    out_sigs: HashMap<ChunkId, Arc<ChunkSignature>>,
     // Commit state.
     commit_req: Option<RequestId>,
     stash_sent: bool,
@@ -457,7 +459,7 @@ impl WriteSession {
 
     /// Injects signatures of previous-version chunks so near-miss chunks
     /// can ship as deltas. Call before the first `write()`.
-    pub fn set_basis_signatures(&mut self, sigs: HashMap<ChunkId, ChunkSignature>) {
+    pub fn set_basis_signatures(&mut self, sigs: HashMap<ChunkId, Arc<ChunkSignature>>) {
         self.basis_sigs = sigs;
     }
 
@@ -487,7 +489,7 @@ impl WriteSession {
 
     /// Takes the signatures of chunks shipped this session — the delta
     /// bases for the *next* version of the same file.
-    pub fn take_signatures(&mut self) -> HashMap<ChunkId, ChunkSignature> {
+    pub fn take_signatures(&mut self) -> HashMap<ChunkId, Arc<ChunkSignature>> {
         std::mem::take(&mut self.out_sigs)
     }
 
@@ -824,32 +826,27 @@ impl WriteSession {
             if let Payload::Real(bytes) = &payload {
                 self.out_sigs
                     .entry(chunk)
-                    .or_insert_with(|| ChunkSignature::of(bytes));
+                    .or_insert_with(|| Arc::new(ChunkSignature::of(bytes)));
             }
         }
         // Near miss with a usable basis: ship a delta when it beats the
-        // full chunk on the wire.
+        // full chunk on the wire. A delta can only be applied by a
+        // benefactor that stores the basis, so route first and encode only
+        // when some stripe node does.
         let delta = if self.cfg.negotiate && !background {
-            self.chunk_basis.get(&chunk).and_then(|basis| {
-                let sig = self.basis_sigs.get(basis)?;
+            self.chunk_basis.get(&chunk).and_then(|&basis| {
+                let home = self.basis_home_in_stripe(basis)?;
+                let sig = self.basis_sigs.get(&basis)?;
                 let Payload::Real(bytes) = &payload else {
                     return None;
                 };
-                delta_encode(sig, bytes).map(|d| (*basis, Bytes::from(d)))
+                let d = delta_encode(sig, bytes)?;
+                target = home;
+                Some((basis, Bytes::from(d)))
             })
         } else {
             None
         };
-        // A delta can only be applied by a benefactor that stores the
-        // basis; route it to one, or ship full if no stripe node does.
-        let delta = delta.filter(|(basis, _)| {
-            if let Some(home) = self.basis_home_in_stripe(*basis) {
-                target = home;
-                true
-            } else {
-                false
-            }
-        });
         let (as_delta, wire_cost, msg) = match delta {
             Some((basis, d)) => (
                 true,

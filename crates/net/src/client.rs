@@ -381,9 +381,12 @@ impl Drop for GridInner {
 
 /// Delta bases one path's last write left behind: per-chunk signatures
 /// (what to diff against) and placements (where a delta can be applied).
+/// Holds only the chunks of the version last committed through this grid
+/// — a session diffs each chunk against the previous version's chunk at
+/// the same position, so older chunks can never be a basis again.
 #[derive(Default)]
 struct PathBases {
-    sigs: HashMap<ChunkId, ChunkSignature>,
+    sigs: HashMap<ChunkId, Arc<ChunkSignature>>,
     homes: HashMap<ChunkId, Vec<NodeId>>,
 }
 
@@ -651,6 +654,17 @@ impl Grid {
             Msg::VersionListReply { versions, .. } => Ok(versions),
             m => Err(GridError::Protocol(format!("unexpected reply {m:?}"))),
         }
+    }
+
+    /// How many chunk signatures this grid caches as delta bases for the
+    /// next write of `path`: at most the distinct chunks of the version
+    /// last committed through this grid.
+    pub fn cached_delta_bases(&self, path: &str) -> usize {
+        self.inner
+            .signatures
+            .lock()
+            .get(path)
+            .map_or(0, |b| b.sigs.len())
     }
 
     /// Deletes a file (all versions).
@@ -1394,22 +1408,36 @@ impl WriteHandle {
         result
     }
 
-    /// Banks this session's chunk signatures in the grid's per-path cache:
-    /// the delta bases for the next write of the same path. Merged over
-    /// older entries — a base pruned from the pool only costs a fallback
-    /// to full transfer, never correctness.
+    /// Replaces the path's entry in the grid's signature cache with the
+    /// delta bases of the version this session just committed: a chunk
+    /// shipped now brings its new signature and placement, and a chunk
+    /// reused by reference keeps the ones the previous write left. Chunks
+    /// of older versions drop out, so the cache stays one version deep. A
+    /// base pruned from the pool only costs a fallback to full transfer,
+    /// never correctness.
     fn harvest_signatures(&self) {
-        let (sigs, homes) = {
+        let (mut sigs, mut homes, committed) = {
             let mut s = self.shared.session.lock();
-            (s.take_signatures(), s.shipped_placements())
+            let committed: Vec<ChunkId> = s.entries().iter().map(|e| e.id).collect();
+            (s.take_signatures(), s.shipped_placements(), committed)
         };
-        if sigs.is_empty() {
-            return;
-        }
         let mut cache = self.grid.inner.signatures.lock();
-        let bases = cache.entry(self.path.clone()).or_default();
-        bases.sigs.extend(sigs);
-        bases.homes.extend(homes);
+        let old = cache.remove(&self.path).unwrap_or_default();
+        let mut bases = PathBases::default();
+        for id in committed {
+            if bases.sigs.contains_key(&id) {
+                continue; // the same content at another position
+            }
+            if let Some(sig) = sigs.remove(&id).or_else(|| old.sigs.get(&id).cloned()) {
+                bases.sigs.insert(id, sig);
+            }
+            if let Some(home) = homes.remove(&id).or_else(|| old.homes.get(&id).cloned()) {
+                bases.homes.insert(id, home);
+            }
+        }
+        if !bases.sigs.is_empty() {
+            cache.insert(self.path.clone(), bases);
+        }
     }
 
     /// Closes the file: drains data, commits the chunk-map, and returns the

@@ -74,6 +74,9 @@ struct Inner {
     shutdown: AtomicBool,
     /// Jobs executed so far (observability and tests).
     completed: AtomicU64,
+    /// Pause point inside a worker's check→wait window.
+    #[cfg(test)]
+    wait_window: crate::wait_window::WaitWindow,
 }
 
 thread_local! {
@@ -112,6 +115,8 @@ impl IoLane {
             capacity: cfg.capacity.max(1),
             shutdown: AtomicBool::new(false),
             completed: AtomicU64::new(0),
+            #[cfg(test)]
+            wait_window: Default::default(),
         });
         let mut joins = Vec::with_capacity(cfg.workers.max(1));
         for idx in 0..cfg.workers.max(1) {
@@ -188,10 +193,16 @@ impl IoLane {
     /// Stops accepting new jobs, lets workers drain everything already
     /// queued, and joins them. Idempotent.
     pub fn shutdown(&self) {
-        if self.inner.shutdown.swap(true, Ordering::SeqCst) {
-            return;
+        {
+            // Store and notify under the jobs lock: workers and bounded
+            // submitters check the flag under it, so the store cannot land
+            // in a waiter's check→wait window and lose its wakeup.
+            let _q = self.inner.jobs.lock();
+            if self.inner.shutdown.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            self.inner.cv.notify_all();
         }
-        self.inner.cv.notify_all();
         let me = thread::current().id();
         for j in self.joins.lock().drain(..) {
             if j.thread().id() != me {
@@ -227,6 +238,8 @@ fn worker_loop(inner: &Arc<Inner>) {
                 if inner.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
+                #[cfg(test)]
+                inner.wait_window.pass();
                 inner.cv.wait(&mut q);
             }
         };
@@ -256,6 +269,32 @@ mod tests {
             thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(hits.load(Ordering::Relaxed), 32);
+    }
+
+    #[test]
+    fn shutdown_wakes_a_worker_inside_its_check_wait_window() {
+        // The worker sleeps between seeing "no job, not shut down" and
+        // parking; a shutdown that does not take the jobs lock lands in
+        // that gap, and its join never returns.
+        let lane = IoLane::with_config(IoLaneConfig {
+            workers: 1,
+            capacity: 4,
+        });
+        lane.inner.wait_window.arm(Duration::from_millis(100));
+        // One job cycles the (possibly already parked) worker back
+        // through its check→wait window.
+        assert!(lane.submit(|| {}));
+        assert!(
+            lane.inner.wait_window.wait_entered(),
+            "worker never reached its wait"
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            lane.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("worker lost its shutdown wakeup");
     }
 
     #[test]

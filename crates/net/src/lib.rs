@@ -77,6 +77,8 @@ pub mod ranks;
 pub mod reactor;
 pub mod store;
 pub mod uring;
+#[cfg(test)]
+mod wait_window;
 
 pub use benefactor_server::{BenefactorNetConfig, BenefactorServer};
 pub use client::{Grid, GridError, GridRuntime, ReadHandle, WriteHandle, WriteOptions};

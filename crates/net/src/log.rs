@@ -337,6 +337,9 @@ pub struct GroupCommit {
     poisoned: AtomicBool,
     /// Test-only injected delay/failure applied per flush round.
     faults: SyncDelay,
+    /// Pause point inside the flusher's check→wait window.
+    #[cfg(test)]
+    wait_window: crate::wait_window::WaitWindow,
 }
 
 impl GroupCommit {
@@ -359,6 +362,8 @@ impl GroupCommit {
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             faults: SyncDelay::default(),
+            #[cfg(test)]
+            wait_window: Default::default(),
         }
     }
 
@@ -437,6 +442,10 @@ impl GroupCommit {
     /// Stops the flusher loop and releases every waiter (committers
     /// still short of their target fail instead of hanging).
     pub fn begin_shutdown(&self) {
+        // Store and notify under the commit lock: the flusher and every
+        // committer check the flag under it, so the store cannot land in
+        // a waiter's check→wait window and lose its wakeup.
+        let _c = self.commit.lock();
         self.shutdown.store(true, Ordering::Relaxed);
         self.work_cv.notify_all();
         self.done_cv.notify_all();
@@ -463,6 +472,8 @@ impl GroupCommit {
                 while !self.shutdown.load(Ordering::Relaxed)
                     && (c.failed || self.appended.load(Ordering::Relaxed) <= c.durable)
                 {
+                    #[cfg(test)]
+                    self.wait_window.pass();
                     self.work_cv.wait(&mut c);
                 }
                 if self.shutdown.load(Ordering::Relaxed) {
@@ -531,6 +542,28 @@ mod tests {
         assert_eq!(seen[2].2, b"world!");
         assert_eq!(valid, file_len - 17, "scan stops at the torn boundary");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_flusher_inside_its_check_wait_window() {
+        // The flusher sleeps between seeing "not shut down" and parking;
+        // a shutdown that does not take the commit lock lands in that gap
+        // and the flusher never wakes.
+        let gc = Arc::new(GroupCommit::new(0));
+        gc.wait_window.arm(Duration::from_millis(100));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let flusher = Arc::clone(&gc);
+        std::thread::spawn(move || {
+            flusher.flusher_loop(Duration::ZERO, || unreachable!("nothing appended"));
+            let _ = tx.send(());
+        });
+        assert!(
+            gc.wait_window.wait_entered(),
+            "flusher never reached its wait"
+        );
+        gc.begin_shutdown();
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("flusher lost its shutdown wakeup");
     }
 
     #[test]

@@ -910,6 +910,12 @@ mod tests {
             }
             let before = lane.completed();
             mlog.install_with(|| snap.clone()).unwrap();
+            // The worker counts a job only after the job has handed its
+            // result back, so the count may trail the install's return.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while lane.completed() <= before && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
             assert!(lane.completed() > before, "phase 2 must ride the lane");
             assert_eq!(mlog.wal_segment_count().unwrap(), 1);
             mlog.append(12, &rec(99)).unwrap();

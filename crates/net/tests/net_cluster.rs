@@ -275,6 +275,58 @@ fn negotiation_ships_only_missing_chunks_of_similar_version() {
     pool.mgr.check_invariants();
 }
 
+/// The client's per-path signature cache holds only the latest committed
+/// version's chunks, however many versions a path goes through, and those
+/// are enough for the next near-miss version to ship as deltas — including
+/// deltas against chunks the previous version reused by reference.
+#[test]
+fn signature_cache_stays_one_version_deep() {
+    if !stdchk_net::dedup_enabled() {
+        return;
+    }
+    const CHUNK: usize = 64 << 10;
+    const CHUNKS: usize = 10;
+    const VERSIONS: usize = 6;
+    let pool = TestPool::start(3);
+    let grid = pool.grid();
+    let path = "/ckpt/bounded.n0";
+
+    let mut image = payload(CHUNKS * CHUNK, 31);
+    for v in 0..VERSIONS {
+        if v > 0 {
+            // Dirty three chunks with one flipped byte each, a different
+            // three every version, so most bases were reused last time.
+            for i in [v % CHUNKS, (v + 3) % CHUNKS, (v + 6) % CHUNKS] {
+                image[i * CHUNK + 100 + v] ^= 0xff;
+            }
+        }
+        let mut w = grid.create(path, WriteOptions::default()).expect("create");
+        w.write_all(&image).expect("write");
+        let stats = w.finish().expect("finish");
+        assert_eq!(stats.chunks_total, CHUNKS as u64);
+        let cached = grid.cached_delta_bases(path);
+        assert!(
+            cached <= stats.chunks_total as usize,
+            "version {v}: {cached} cached signatures for a {}-chunk version",
+            stats.chunks_total
+        );
+        assert_eq!(cached, CHUNKS, "version {v}: every chunk stays a basis");
+        if v > 0 {
+            assert!(
+                stats.wire_delta_bytes > 0,
+                "version {v}: near misses must still ship as deltas"
+            );
+        }
+    }
+    let versions = grid.versions(path).expect("versions");
+    let latest = versions.last().expect("committed").version;
+    assert_eq!(
+        grid.open(path, Some(latest)).unwrap().read_all().unwrap(),
+        image
+    );
+    pool.mgr.check_invariants();
+}
+
 #[test]
 fn metadata_operations_work_over_tcp() {
     let pool = TestPool::start(2);

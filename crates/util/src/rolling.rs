@@ -22,6 +22,31 @@ use crate::mix64;
 /// dispersion; the final [`mix64`] whitening is what boundary decisions rely
 /// on, so the base only needs to avoid degenerate cycles.
 const BASE: u64 = 0x0100_0000_01b3; // FNV-ish prime, 2^40 scale
+/// `BASE^2..BASE^4`: weights of a 4-byte step in [`accumulate`].
+const BASE2: u64 = BASE.wrapping_mul(BASE);
+const BASE3: u64 = BASE2.wrapping_mul(BASE);
+const BASE4: u64 = BASE3.wrapping_mul(BASE);
+
+/// Folds `bytes` into the polynomial accumulator `acc`: the same value as
+/// `acc = acc * BASE + (b + 1)` per byte, but four bytes per step, so the
+/// serial multiply chain is a quarter as long (the other three products
+/// are independent and overlap).
+#[inline]
+fn accumulate(mut acc: u64, bytes: &[u8]) -> u64 {
+    let mut quads = bytes.chunks_exact(4);
+    for q in &mut quads {
+        acc = acc
+            .wrapping_mul(BASE4)
+            .wrapping_add((q[0] as u64 + 1).wrapping_mul(BASE3))
+            .wrapping_add((q[1] as u64 + 1).wrapping_mul(BASE2))
+            .wrapping_add((q[2] as u64 + 1).wrapping_mul(BASE))
+            .wrapping_add(q[3] as u64 + 1);
+    }
+    for &b in quads.remainder() {
+        acc = acc.wrapping_mul(BASE).wrapping_add(b as u64 + 1);
+    }
+    acc
+}
 
 /// One-shot polynomial hash of a byte window.
 ///
@@ -69,8 +94,8 @@ impl WindowHash {
 #[derive(Clone, Debug)]
 pub struct RollingHash {
     acc: u64,
-    /// BASE^(m-1), the weight of the outgoing byte.
-    top_weight: u64,
+    /// BASE^m: the outgoing byte's weight once the window has shifted.
+    out_weight: u64,
     window: usize,
     filled: usize,
 }
@@ -84,12 +109,12 @@ impl RollingHash {
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "window must be non-empty");
         let mut w: u64 = 1;
-        for _ in 0..window - 1 {
+        for _ in 0..window {
             w = w.wrapping_mul(BASE);
         }
         RollingHash {
             acc: 0,
-            top_weight: w,
+            out_weight: w,
             window,
             filled: 0,
         }
@@ -117,6 +142,20 @@ impl RollingHash {
         self.filled += 1;
     }
 
+    /// Replaces the window contents with `bytes` in one pass (no per-byte
+    /// fill bookkeeping): the cheap way to hash a whole block or to
+    /// restart a scan after a jump.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bytes` is exactly one window long.
+    #[inline]
+    pub fn fill(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), self.window, "fill needs exactly one window");
+        self.acc = accumulate(0, bytes);
+        self.filled = self.window;
+    }
+
     /// Slides the full window one byte: removes `out`, appends `inc`.
     ///
     /// # Panics
@@ -125,11 +164,19 @@ impl RollingHash {
     #[inline]
     pub fn slide(&mut self, out: u8, inc: u8) {
         debug_assert!(self.is_full(), "window not full; use push");
-        self.acc = self
-            .acc
-            .wrapping_sub((out as u64 + 1).wrapping_mul(self.top_weight))
-            .wrapping_mul(BASE)
-            .wrapping_add(inc as u64 + 1);
+        // (acc - out·BASE^(m-1))·BASE + inc, regrouped so the serial
+        // dependency on `acc` is one multiply and one add.
+        let delta = (inc as u64 + 1).wrapping_sub((out as u64 + 1).wrapping_mul(self.out_weight));
+        self.acc = self.acc.wrapping_mul(BASE).wrapping_add(delta);
+    }
+
+    /// The unwhitened polynomial of the current window. [`mix64`] is a
+    /// bijection, so two windows have equal `raw` values exactly when
+    /// they have equal [`RollingHash::value`]s; a table keyed on `raw`
+    /// skips the whitening on every lookup.
+    #[inline]
+    pub fn raw(&self) -> u64 {
+        self.acc
     }
 
     /// The whitened hash of the current window contents.
@@ -176,6 +223,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fill_equals_oneshot_and_keeps_sliding() {
+        let data: Vec<u8> = (0..512u64).map(|i| mix64(i ^ 0x55) as u8).collect();
+        for m in [1usize, 3, 4, 5, 8, 63, 64, 255] {
+            let mut rh = RollingHash::new(m);
+            rh.fill(&data[..m]);
+            assert!(rh.is_full());
+            assert_eq!(rh.value(), WindowHash::hash(&data[..m]), "fill m={m}");
+            rh.slide(data[0], data[m]);
+            assert_eq!(rh.value(), WindowHash::hash(&data[1..m + 1]), "slide m={m}");
+            rh.fill(&data[7..7 + m]);
+            assert_eq!(
+                rh.value(),
+                WindowHash::hash(&data[7..7 + m]),
+                "refill m={m}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn fill_with_wrong_length_panics() {
+        RollingHash::new(4).fill(b"abc");
     }
 
     #[test]
