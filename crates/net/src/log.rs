@@ -313,7 +313,9 @@ struct CommitState {
 ///
 /// Writers append (under their own lock), publish the new appended-byte
 /// count with [`GroupCommit::note_appended`], and block in
-/// [`GroupCommit::wait_durable`]. The flusher loop
+/// [`GroupCommit::wait_durable`]. An append nobody will wait on (a segment
+/// tombstone) may skip `note_appended`: it starts no sync of its own and
+/// becomes durable with the next one. The flusher loop
 /// ([`GroupCommit::flusher_loop`]) snapshots the appended watermark, runs
 /// one `sync_data` on the active file, and advances the durable
 /// watermark for every record that landed before the snapshot — the same
@@ -325,8 +327,10 @@ pub struct GroupCommit {
     work_cv: Condvar,
     /// Wakes committers when the durable watermark advances.
     done_cv: Condvar,
-    /// Mirror of the owner's appended count, readable without its lock.
-    appended: AtomicU64,
+    /// The highest appended count some writer needs durable (published by
+    /// `note_appended` and `wait_durable`), readable without the owner's
+    /// lock. The flusher sleeps while it is covered.
+    wanted: AtomicU64,
     /// `sync_data` calls issued so far (observability: group-commit batch
     /// factor = appends / syncs).
     syncs: AtomicU64,
@@ -357,7 +361,7 @@ impl GroupCommit {
             ),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            appended: AtomicU64::new(durable),
+            wanted: AtomicU64::new(durable),
             syncs: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
@@ -376,7 +380,7 @@ impl GroupCommit {
     /// Publishes a new appended-byte count and kicks the flusher so
     /// writeback overlaps the rest of the batch.
     pub fn note_appended(&self, watermark: u64) {
-        self.appended.store(watermark, Ordering::Relaxed);
+        self.wanted.fetch_max(watermark, Ordering::Relaxed);
         self.work_cv.notify_one();
     }
 
@@ -433,7 +437,9 @@ impl GroupCommit {
             // flusher's predicate check and its wait are atomic under this
             // lock, so this notify can never fall into its check→sleep
             // window (note_appended's lock-free notify is an optimization
-            // and may be lost; this one is the liveness guarantee).
+            // and may be lost; this one is the liveness guarantee). The
+            // target may cover appends that never called note_appended.
+            self.wanted.fetch_max(target, Ordering::Relaxed);
             self.work_cv.notify_one();
             self.done_cv.wait(&mut c);
         }
@@ -451,8 +457,8 @@ impl GroupCommit {
         self.done_cv.notify_all();
     }
 
-    /// The background group-commit loop: whenever appended bytes outrun
-    /// the durable watermark, call `snapshot()` for the current appended
+    /// The background group-commit loop: whenever a writer wants bytes
+    /// past the durable watermark, call `snapshot()` for the current appended
     /// count, any sealed-but-unsynced files, and the active file;
     /// `sync_data` the seals then the active file; and publish the new
     /// durable point. `snapshot` must be taken under the owner's state
@@ -470,7 +476,7 @@ impl GroupCommit {
             {
                 let mut c = self.commit.lock();
                 while !self.shutdown.load(Ordering::Relaxed)
-                    && (c.failed || self.appended.load(Ordering::Relaxed) <= c.durable)
+                    && (c.failed || self.wanted.load(Ordering::Relaxed) <= c.durable)
                 {
                     #[cfg(test)]
                     self.wait_window.pass();
@@ -564,6 +570,42 @@ mod tests {
         gc.begin_shutdown();
         rx.recv_timeout(Duration::from_secs(10))
             .expect("flusher lost its shutdown wakeup");
+    }
+
+    #[test]
+    fn wait_durable_covers_appends_that_never_kicked_the_flusher() {
+        // An append may skip note_appended (a tombstone nobody waits on);
+        // a later wait for it must still get the flusher to run.
+        let dir = std::env::temp_dir().join(format!("stdchk-log-lazy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = Arc::new(
+            OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(true)
+                .truncate(false)
+                .open(dir.join("seg.log"))
+                .unwrap(),
+        );
+        write_all_two(&file, b"unannounced", &[]).unwrap();
+        let gc = Arc::new(GroupCommit::new(0));
+        let flusher = Arc::clone(&gc);
+        let active = Arc::clone(&file);
+        let handle = std::thread::spawn(move || {
+            flusher.flusher_loop(Duration::ZERO, || (11, Vec::new(), Arc::clone(&active)));
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&gc);
+        std::thread::spawn(move || {
+            let _ = tx.send(waiter.wait_durable(11));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("flusher never ran for an unannounced append")
+            .unwrap();
+        assert_eq!(gc.sync_count(), 1);
+        gc.begin_shutdown();
+        handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -44,8 +44,10 @@
 //! ```
 //!
 //! Deletes append a `kind=1` tombstone (empty payload) so a restart does
-//! not resurrect the chunk. The in-memory index maps `ChunkId → (segment,
-//! offset, len)`; lookups never touch disk, reads are one `pread`.
+//! not resurrect the chunk. A tombstone starts no flush of its own: it
+//! becomes durable with the next put's. The in-memory index maps
+//! `ChunkId → (segment, offset, len)`; lookups never touch disk, reads are
+//! one `pread`.
 //!
 //! # Group commit
 //!
@@ -512,7 +514,9 @@ impl SegmentStore {
 
     /// Appends `header ‖ payload` to the active segment (rotating first if
     /// full) and returns `(segment, offset, appended-watermark)`. Caller
-    /// holds the shared lock.
+    /// holds the shared lock. Starts no sync: a put kicks the flusher
+    /// itself, compaction syncs inline, and a tombstone rides along with
+    /// the next sync.
     fn append(
         &self,
         shared: &mut Shared,
@@ -548,9 +552,6 @@ impl SegmentStore {
         s.total += added;
         shared.active_len += added;
         shared.appended += added;
-        // Publish and kick the flusher now so writeback overlaps the rest
-        // of the batch.
-        self.core.gc.note_appended(shared.appended);
         Ok((seg, off, shared.appended))
     }
 
@@ -700,6 +701,9 @@ impl SegmentStore {
         payload: &[u8],
     ) -> io::Result<u64> {
         let (seg, off, target) = self.append(shared, header, payload)?;
+        // Publish and kick the flusher now so writeback overlaps the rest
+        // of the batch.
+        self.core.gc.note_appended(target);
         let old = shared.index.insert(
             id,
             Loc {
@@ -868,7 +872,8 @@ impl ChunkStore for SegmentStore {
         if let Some(s) = shared.segs.get_mut(&old.seg) {
             s.live -= record_size(old.len);
         }
-        // Tombstone so a restart does not resurrect the chunk. Not synced:
+        // Tombstone so a restart does not resurrect the chunk. Not synced,
+        // and no flusher round of its own (the next put's sync covers it):
         // losing it to a crash only re-surfaces a chunk the next GC pass
         // deletes again. The tombstone append itself stays on this
         // thread in every mode — it is what fixes the delete's position
@@ -955,6 +960,29 @@ mod tests {
         assert!(store.get(id_a).unwrap().is_none(), "tombstone must persist");
         assert_eq!(&store.get(id_b).unwrap().unwrap()[..], &data_b[..]);
         assert_eq!(store.entries().unwrap(), vec![(id_b, 900)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_delete_starts_no_sync_and_rides_on_the_next_put() {
+        let dir = tmp("lazy-tombstone");
+        let (id_a, data_a) = chunk(5, 700);
+        let (id_b, data_b) = chunk(6, 900);
+        {
+            let store = SegmentStore::open(&dir).unwrap();
+            store.put(id_a, &data_a).unwrap();
+            let before = store.sync_count();
+            store.delete(id_a).unwrap();
+            // The flusher would have run long before this if the tombstone
+            // had kicked it.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert_eq!(store.sync_count(), before, "a tombstone synced alone");
+            store.put(id_b, &data_b).unwrap();
+            assert_eq!(store.sync_count(), before + 1, "one sync covers both");
+        }
+        let store = SegmentStore::open(&dir).unwrap();
+        assert!(store.get(id_a).unwrap().is_none(), "tombstone must persist");
+        assert_eq!(&store.get(id_b).unwrap().unwrap()[..], &data_b[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
